@@ -800,7 +800,10 @@ void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
   const GemmKernels& kernels = active_gemm_kernels();
   const int col_tiles = (n + kTileCols - 1) / kTileCols;
   const int row_tiles = (m + kTileRows - 1) / kTileRows;
-  static thread_local PackedGemmA pa;
+  // Bind the caller's instance: a lambda does not capture a thread_local,
+  // so naming pa_tls inside run_tiles would read each worker's empty copy.
+  static thread_local PackedGemmA pa_tls;
+  PackedGemmA& pa = pa_tls;
   pack_gemm_a(a, m, k, pa);
 
   auto run_tiles = [&](int t0, int t1) {

@@ -219,7 +219,10 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
     const auto bt = transpose(b, s.k, s.n);
     const std::size_t cn = static_cast<std::size_t>(s.m) * s.n;
 
-    std::vector<float> base_pa(cn), base_bt(cn);
+    PackedGemmB pb;
+    pack_gemm_b_nt(bt.data(), s.k, s.n, pb);
+
+    std::vector<float> base_pa(cn), base_bt(cn), base_pb(cn);
     {
       ou::ThreadPool one(1);
       PoolOverride ov(&one, 1);
@@ -228,6 +231,7 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
       gemm_tiled_pa(pa, b.data(), base_pa.data(), s.n, false);
       gemm_bt_tiled(a.data(), bt.data(), base_bt.data(), s.m, s.k, s.n,
                     false);
+      gemm_tiled_pb(a.data(), pb, base_pb.data(), s.m, false);
     }
     for (std::size_t workers : {2u, 8u}) {
       ou::ThreadPool pool(workers);
@@ -243,8 +247,46 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
       EXPECT_EQ(0, std::memcmp(got.data(), base_bt.data(),
                                cn * sizeof(float)))
           << "gemm_bt_tiled differs at " << workers << " workers";
+      // gemm_tiled_pb packs A on the calling thread; the workers must read
+      // that panel, not a thread-local copy of their own.
+      gemm_tiled_pb(a.data(), pb, got.data(), s.m, false);
+      EXPECT_EQ(0, std::memcmp(got.data(), base_pb.data(),
+                               cn * sizeof(float)))
+          << "gemm_tiled_pb differs at " << workers << " workers";
     }
   }
+}
+
+TEST(GemmKernels, LinearForwardIsPoolSizeInvariant) {
+  // The fc head (64 -> 100) over a 128-image batch is 1.6 Mflop, above the
+  // default parallel threshold, so on a 2-worker pool its gemm_tiled_pb
+  // fans out; the output must match the 1-worker run bitwise.
+  ou::Rng rng(14);
+  Linear fc(64, 100);
+  for (std::size_t i = 0; i < fc.weight().value.numel(); ++i) {
+    fc.weight().value.data()[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  }
+  for (std::size_t i = 0; i < fc.bias().value.numel(); ++i) {
+    fc.bias().value.data()[i] = static_cast<float>(rng.normal(0.0, 0.1));
+  }
+  Tensor x({128, 64});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+
+  Tensor base;
+  {
+    ou::ThreadPool one(1);
+    PoolOverride ov(&one, 0);
+    base = fc.forward(x);
+  }
+  ou::ThreadPool two(2);
+  PoolOverride ov(&two, 0);
+  const Tensor got = fc.forward(x);
+  ASSERT_EQ(got.numel(), base.numel());
+  EXPECT_EQ(0, std::memcmp(got.data(), base.data(),
+                           got.numel() * sizeof(float)))
+      << "Linear(64, 100) forward differs on a 2-worker pool";
 }
 
 TEST(GemmKernels, Conv2dPacksOncePerWeightVersion) {
